@@ -542,15 +542,14 @@ func benchAntiEntropyCluster(b *testing.B, nKeys int) (*dist.Cluster, []*csnet.K
 }
 
 // benchAntiEntropySteady measures one steady-state converge pass over
-// an already-converged nKeys cluster (E28). The Merkle pass costs one
-// root exchange per backend whatever the keyspace size; the listings
-// baseline ships every entry every time.
-func benchAntiEntropySteady(b *testing.B, nKeys int, pass func(*dist.Cluster) (int, error)) {
+// an already-converged nKeys cluster (E28): one root exchange per
+// backend whatever the keyspace size.
+func benchAntiEntropySteady(b *testing.B, nKeys int) {
 	c, _, _ := benchAntiEntropyCluster(b, nKeys)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		copied, err := pass(c)
+		copied, err := c.Rebalance()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -562,8 +561,8 @@ func benchAntiEntropySteady(b *testing.B, nKeys int, pass func(*dist.Cluster) (i
 
 // benchAntiEntropyDiff measures repairing a fixed-size divergence
 // (holes punched into one replica) inside an nKeys cluster (E28): the
-// Merkle pass's cost tracks the diff, not the keyspace.
-func benchAntiEntropyDiff(b *testing.B, nKeys, diff int, pass func(*dist.Cluster) (int, error)) {
+// pass's cost tracks the diff, not the keyspace.
+func benchAntiEntropyDiff(b *testing.B, nKeys, diff int) {
 	c, kvs, keys := benchAntiEntropyCluster(b, nKeys)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -573,7 +572,7 @@ func benchAntiEntropyDiff(b *testing.B, nKeys, diff int, pass func(*dist.Cluster
 			kvs[1].Engine().Purge(keys[(d*37)%len(keys)])
 		}
 		b.StartTimer()
-		copied, err := pass(c)
+		copied, err := c.Rebalance()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -583,34 +582,14 @@ func benchAntiEntropyDiff(b *testing.B, nKeys, diff int, pass func(*dist.Cluster
 	}
 }
 
-// E28: steady-state converge cost vs keyspace size — Merkle digests
-// against the preserved full-listings baseline (RebalanceListings, the
-// pre-Merkle rebalancer kept in-tree as the fallback path).
-func BenchmarkAntiEntropyMerkleSteady1k(b *testing.B) {
-	benchAntiEntropySteady(b, 1_000, func(c *dist.Cluster) (int, error) { return c.Rebalance() })
-}
-func BenchmarkAntiEntropyMerkleSteady10k(b *testing.B) {
-	benchAntiEntropySteady(b, 10_000, func(c *dist.Cluster) (int, error) { return c.Rebalance() })
-}
-func BenchmarkAntiEntropyListingsSteady1k(b *testing.B) {
-	benchAntiEntropySteady(b, 1_000, func(c *dist.Cluster) (int, error) { return c.RebalanceListings() })
-}
-func BenchmarkAntiEntropyListingsSteady10k(b *testing.B) {
-	benchAntiEntropySteady(b, 10_000, func(c *dist.Cluster) (int, error) { return c.RebalanceListings() })
-}
+// E28: steady-state converge cost vs keyspace size.
+func BenchmarkAntiEntropyMerkleSteady1k(b *testing.B)  { benchAntiEntropySteady(b, 1_000) }
+func BenchmarkAntiEntropyMerkleSteady10k(b *testing.B) { benchAntiEntropySteady(b, 10_000) }
 
-// E28: repair cost for a 64-key diff at two keyspace sizes — the
-// Merkle pass should cost roughly the same at both, the listings
-// baseline 10x more at 10k.
-func BenchmarkAntiEntropyMerkleDiff64Of1k(b *testing.B) {
-	benchAntiEntropyDiff(b, 1_000, 64, func(c *dist.Cluster) (int, error) { return c.Rebalance() })
-}
-func BenchmarkAntiEntropyMerkleDiff64Of10k(b *testing.B) {
-	benchAntiEntropyDiff(b, 10_000, 64, func(c *dist.Cluster) (int, error) { return c.Rebalance() })
-}
-func BenchmarkAntiEntropyListingsDiff64Of10k(b *testing.B) {
-	benchAntiEntropyDiff(b, 10_000, 64, func(c *dist.Cluster) (int, error) { return c.RebalanceListings() })
-}
+// E28: repair cost for a 64-key diff at two keyspace sizes — the pass
+// should cost roughly the same at both.
+func BenchmarkAntiEntropyMerkleDiff64Of1k(b *testing.B)  { benchAntiEntropyDiff(b, 1_000, 64) }
+func BenchmarkAntiEntropyMerkleDiff64Of10k(b *testing.B) { benchAntiEntropyDiff(b, 10_000, 64) }
 
 // benchServerOp measures one server round trip (a legacy SET through a
 // real loopback server and muxed client) with metric recording either

@@ -12,10 +12,10 @@
 // The -addr value is both the listen address and the node's member
 // identity, so it must be a concrete host:port that peers can dial.
 //
-// The node serves the Merkle anti-entropy ops (OpTreeV/OpRangeV) that
-// a dist.Cluster coordinator's Rebalance drives; -merkle-buckets must
-// match the coordinator's ClusterConfig.Buckets (both default to
-// store.DefaultMerkleBuckets). The periodic summary reports the tree's
+// The node serves the Merkle anti-entropy ops (OpTreeV, OpRangeV,
+// OpPurgeV) that a dist.Cluster coordinator's Rebalance drives;
+// -merkle-buckets must match the coordinator's ClusterConfig.Buckets
+// (both default to store.DefaultMerkleBuckets). The periodic summary reports the tree's
 // root hash and how many leaf rebuilds write traffic has forced —
 // replicas whose summaries show the same root are provably converged.
 package main

@@ -58,26 +58,23 @@ const (
 	// can never resurrect old state (the job OpSetNX's set-if-absent
 	// used to approximate).
 	OpMerge
-	// OpKeysV lists every entry the server holds — tombstones included
-	// — as (key, version, flags) triples encoded by EncodeKeysV; the
-	// rebalancer uses it to find not just missing copies but stale
-	// ones.
-	OpKeysV
+	// Wire number 13 is retired (it carried a whole-keyspace listing
+	// the Merkle exchange replaced) and stays reserved, so every later
+	// op keeps its number.
+	_
 	// OpTreeV answers Merkle digest queries: the request Value is an
 	// EncodeBucketList of tree node indexes (empty = just the root),
 	// the response Value an EncodeTree of their hashes plus the tree
 	// geometry. Two replicas (or their coordinator) descend from the
 	// root through mismatching nodes to the divergent leaf buckets in
-	// O(log buckets) exchanges — the anti-entropy replacement for
-	// shipping full OpKeysV listings.
+	// O(log buckets) exchanges instead of listing whole keyspaces.
 	OpTreeV
 	// OpRangeV lists the raw entries of the requested Merkle buckets
 	// only (request Value: EncodeBucketList of bucket indexes; response
 	// Value: EncodeRangeV), each entry carrying its version, value
-	// digest, tombstone flag, and expiry. It is the bucket-scoped
-	// OpKeysV the digest descent ends in: only divergent buckets ever
-	// pay for a listing, and the digest makes same-version value splits
-	// visible to the planner.
+	// digest, tombstone flag, and expiry. The digest descent ends in
+	// it: only divergent buckets ever pay for a listing, and the digest
+	// makes same-version value splits visible to the planner.
 	OpRangeV
 	// OpStats asks the server for its live metrics: the response Value
 	// is an obs.Snapshot of the process-global registry, encoded by
@@ -95,13 +92,22 @@ const (
 	// the existing mux and assemble the replies into cross-node span
 	// trees. Key is unused.
 	OpTraces
+	// OpPurgeV is the anti-entropy purge of a non-owner's copies: the
+	// request Value is an EncodeRangeV list of entries exactly as an
+	// OpRangeV listing reported them, and the server removes each one
+	// only if its resident entry still matches that listing (see
+	// store.Sharded.PurgeIf), so a write that landed after the listing
+	// survives. The OK response Value is an EncodeBucketList of the
+	// indexes of the entries removed. An engine without a conditional
+	// purge answers StatusError and removes nothing.
+	OpPurgeV
 )
 
 // Versioned reports whether op's request and response frames carry the
 // 8-byte version + 1-byte flags trailer.
 func Versioned(op Op) bool {
 	switch op {
-	case OpSetV, OpGetV, OpDelV, OpMerge, OpKeysV, OpTreeV, OpRangeV:
+	case OpSetV, OpGetV, OpDelV, OpMerge, OpTreeV, OpRangeV, OpPurgeV:
 		return true
 	}
 	return false
@@ -154,8 +160,6 @@ func (o Op) String() string {
 		return "DELV"
 	case OpMerge:
 		return "MERGE"
-	case OpKeysV:
-		return "KEYSV"
 	case OpTreeV:
 		return "TREEV"
 	case OpRangeV:
@@ -164,6 +168,8 @@ func (o Op) String() string {
 		return "STATS"
 	case OpTraces:
 		return "TRACES"
+	case OpPurgeV:
+		return "PURGEV"
 	default:
 		return "UNKNOWN"
 	}
@@ -467,80 +473,6 @@ func DecodeKeys(b []byte) ([]string, error) {
 		return nil, fmt.Errorf("csnet: %d trailing bytes after key list", len(b))
 	}
 	return keys, nil
-}
-
-// KeyVersion is one entry of an OpKeysV listing: a key, the version of
-// its resident entry, and whether that entry is a tombstone.
-type KeyVersion struct {
-	Key       string
-	Version   uint64
-	Tombstone bool
-}
-
-// keysVEntryMin is the smallest wire size of one KeysV entry:
-// keyLen(2) version(8) flags(1) plus an empty key.
-const keysVEntryMin = 2 + 8 + 1
-
-// EncodeKeysV serializes a versioned key listing for an OpKeysV
-// response: count(4) then count * (keyLen(2) key version(8) flags(1)).
-func EncodeKeysV(entries []KeyVersion) ([]byte, error) {
-	size := 4
-	for _, e := range entries {
-		if len(e.Key) > 0xFFFF {
-			return nil, fmt.Errorf("csnet: key length %d exceeds 65535", len(e.Key))
-		}
-		size += keysVEntryMin + len(e.Key)
-	}
-	buf := make([]byte, 4, size)
-	binary.BigEndian.PutUint32(buf, uint32(len(entries)))
-	var l [2]byte
-	var v [8]byte
-	for _, e := range entries {
-		binary.BigEndian.PutUint16(l[:], uint16(len(e.Key)))
-		buf = append(buf, l[:]...)
-		buf = append(buf, e.Key...)
-		binary.BigEndian.PutUint64(v[:], e.Version)
-		buf = append(buf, v[:]...)
-		var flags byte
-		if e.Tombstone {
-			flags |= FlagTombstone
-		}
-		buf = append(buf, flags)
-	}
-	return buf, nil
-}
-
-// DecodeKeysV parses an OpKeysV response body.
-func DecodeKeysV(b []byte) ([]KeyVersion, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("csnet: versioned key list too short (%d bytes)", len(b))
-	}
-	n := int(binary.BigEndian.Uint32(b))
-	b = b[4:]
-	// Reject counts the body cannot possibly hold before allocating.
-	if n > len(b)/keysVEntryMin {
-		return nil, fmt.Errorf("csnet: versioned key count %d exceeds body size %d", n, len(b))
-	}
-	entries := make([]KeyVersion, 0, n)
-	for i := 0; i < n; i++ {
-		if len(b) < 2 {
-			return nil, fmt.Errorf("csnet: truncated versioned key list at entry %d", i)
-		}
-		kl := int(binary.BigEndian.Uint16(b))
-		if len(b) < 2+kl+8+1 {
-			return nil, fmt.Errorf("csnet: truncated versioned key at entry %d", i)
-		}
-		entries = append(entries, KeyVersion{
-			Key:       string(b[2 : 2+kl]),
-			Version:   binary.BigEndian.Uint64(b[2+kl : 2+kl+8]),
-			Tombstone: b[2+kl+8]&FlagTombstone != 0,
-		})
-		b = b[2+kl+8+1:]
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("csnet: %d trailing bytes after versioned key list", len(b))
-	}
-	return entries, nil
 }
 
 // Trace query modes for OpTraces.

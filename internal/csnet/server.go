@@ -416,7 +416,7 @@ func (s *Server) Shutdown() {
 // past the global-lock ceiling and a KEYS listing locks one shard at a
 // time instead of stalling every write. Legacy ops (GET/SET/SETNX/DEL/
 // KEYS) are served unchanged alongside the versioned ops
-// (SETV/GETV/DELV/MERGE/KEYSV) on the same handler.
+// (SETV/GETV/DELV/MERGE/TREEV/RANGEV/PURGEV) on the same handler.
 type KVHandler struct {
 	eng store.Engine
 	trc *trace.Recorder // nil = trace.Default()
@@ -426,6 +426,10 @@ type KVHandler struct {
 	// no longer commit must not let the node keep acking writes the
 	// disk is silently dropping.
 	durable func() error
+	// purgeIf is the engine's conditional purge ((*store.Sharded).PurgeIf),
+	// captured the same way; nil makes OpPurgeV answer StatusError
+	// rather than fall back to the unconditional Purge.
+	purgeIf func(key string, version, digest uint64, tombstone bool, expireAt int64) bool
 }
 
 // NewKVHandler creates a handler over a fresh sharded engine.
@@ -440,6 +444,11 @@ func NewKVHandlerOn(eng store.Engine) *KVHandler {
 	kv := &KVHandler{eng: eng}
 	if d, ok := eng.(interface{ Err() error }); ok {
 		kv.durable = d.Err
+	}
+	if p, ok := eng.(interface {
+		PurgeIf(key string, version, digest uint64, tombstone bool, expireAt int64) bool
+	}); ok {
+		kv.purgeIf = p.PurgeIf
 	}
 	return kv
 }
@@ -578,17 +587,6 @@ func (kv *KVHandler) serve(req Request) Response {
 			e.Value = req.Value
 		}
 		return kv.merge(e, req.Key, req.Trace)
-	case OpKeysV:
-		var entries []KeyVersion
-		kv.eng.Range(func(k string, e store.Entry) bool {
-			entries = append(entries, KeyVersion{Key: k, Version: e.Version, Tombstone: e.Tombstone})
-			return true
-		})
-		body, err := EncodeKeysV(entries)
-		if err != nil {
-			return Response{Status: StatusError, Value: []byte(err.Error())}
-		}
-		return Response{Status: StatusOK, Value: body}
 	case OpTreeV:
 		ids, err := DecodeBucketList(req.Value)
 		if err != nil {
@@ -631,6 +629,21 @@ func (kv *KVHandler) serve(req Request) Response {
 			return Response{Status: StatusError, Value: []byte(err.Error())}
 		}
 		return Response{Status: StatusOK, Value: body}
+	case OpPurgeV:
+		if kv.purgeIf == nil {
+			return Response{Status: StatusError, Value: []byte("engine has no conditional purge")}
+		}
+		listing, err := DecodeRangeV(req.Value)
+		if err != nil {
+			return Response{Status: StatusError, Value: []byte(err.Error())}
+		}
+		var purged []uint32
+		for i, d := range listing {
+			if kv.purgeIf(d.Key, d.Version, d.Digest, d.Tombstone, d.ExpireAt) {
+				purged = append(purged, uint32(i))
+			}
+		}
+		return kv.ackDurable(Response{Status: StatusOK, Value: EncodeBucketList(purged)})
 	case OpStats:
 		// The process-global registry, not a per-handler one: a node's
 		// wire, coordinator, membership, and storage metrics all answer

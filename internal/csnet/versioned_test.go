@@ -18,7 +18,7 @@ func TestVersionedRequestRoundTrip(t *testing.T) {
 		{Op: OpMerge, Key: "k", Version: 9, Flags: FlagTombstone},
 		{Op: OpMerge, Key: "k", Value: []byte("payload"), Version: 1<<63 + 5},
 		{Op: OpMerge, Key: "k", Value: []byte("ttl"), Version: 11, ExpireAt: 1_700_000_000_000_000_000},
-		{Op: OpKeysV},
+		{Op: OpPurgeV, Value: []byte("listing")},
 	}
 	for _, want := range reqs {
 		b, err := EncodeRequest(want)
@@ -49,6 +49,18 @@ func TestVersionedRequestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOpWireNumbers pins the op codes peers exchange: retiring an op
+// reserves its number, so no surviving op is renumbered.
+func TestOpWireNumbers(t *testing.T) {
+	for op, want := range map[Op]byte{
+		OpMerge: 12, OpTreeV: 14, OpRangeV: 15, OpStats: 16, OpTraces: 17, OpPurgeV: 18,
+	} {
+		if byte(op) != want {
+			t.Errorf("%s = %d, want %d", op, byte(op), want)
+		}
+	}
+}
+
 func TestVersionedResponseRoundTrip(t *testing.T) {
 	for _, want := range []Response{
 		{Status: StatusOK, Value: []byte("v"), Version: 1234, Flags: FlagTombstone},
@@ -68,36 +80,9 @@ func TestVersionedResponseRoundTrip(t *testing.T) {
 	}
 }
 
-func TestKeysVRoundTrip(t *testing.T) {
-	want := []KeyVersion{
-		{Key: "a", Version: 1},
-		{Key: "deleted", Version: 99, Tombstone: true},
-		{Key: "", Version: 3},
-	}
-	b, err := EncodeKeysV(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeKeysV(b)
-	if err != nil || len(got) != len(want) {
-		t.Fatalf("decode = %v %v", got, err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("entry %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	// A hostile count must be rejected before allocation.
-	bad := append([]byte(nil), b...)
-	bad[0], bad[1], bad[2], bad[3] = 0xFF, 0xFF, 0xFF, 0xFF
-	if _, err := DecodeKeysV(bad); err == nil {
-		t.Fatal("hostile KeysV count accepted")
-	}
-}
-
 // TestVersionedOpsEndToEnd drives the versioned protocol over a real
 // server: versioned merge semantics, tombstone-aware GetV, and the
-// KeysV listing.
+// conditional PurgeV of a listed copy.
 func TestVersionedOpsEndToEnd(t *testing.T) {
 	kv := NewKVHandler()
 	srv := NewServer(kv, 16)
@@ -148,19 +133,46 @@ func TestVersionedOpsEndToEnd(t *testing.T) {
 	if v, ok, err := cl.Get("k"); err != nil || !ok || string(v) != "back" {
 		t.Fatalf("legacy Get after merge = %q %v %v", v, ok, err)
 	}
-	// KeysV sees tombstones; Keys does not.
+	// RangeV lists tombstones; PurgeV removes a listed copy only while
+	// it is still exactly as listed, and an engine without a
+	// conditional purge refuses the op rather than purge blindly.
 	cl.SetV("dead", []byte("x"), 10)
 	cl.DelV("dead", 20)
-	listing, err := cl.KeysV()
+	listing, err := cl.RangeV([]uint32{uint32(store.BucketOf("dead", store.DefaultMerkleBuckets))})
 	if err != nil {
 		t.Fatal(err)
 	}
-	byKey := map[string]KeyVersion{}
-	for _, kvn := range listing {
-		byKey[kvn.Key] = kvn
+	var dead KeyDigest
+	for _, d := range listing {
+		if d.Key == "dead" {
+			dead = d
+		}
 	}
-	if !byKey["dead"].Tombstone || byKey["dead"].Version != 20 {
-		t.Fatalf("KeysV lost the tombstone: %+v", byKey["dead"])
+	if !dead.Tombstone || dead.Version != 20 {
+		t.Fatalf("RangeV lost the tombstone: %+v", dead)
+	}
+	stale := dead
+	stale.Version = 10
+	body, err := EncodeRangeV([]KeyDigest{stale, dead})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := NewKVHandlerOn(struct{ store.Engine }{kv.Engine()}).Serve(Request{Op: OpPurgeV, Value: body})
+	if refused.Status != StatusError {
+		t.Fatalf("PurgeV without a conditional purge = %s, want %s", refused.Status, StatusError)
+	}
+	if _, ok := kv.Engine().Load("dead"); !ok {
+		t.Fatal("refused PurgeV removed the tombstone")
+	}
+	resp, err := cl.Send(Request{Op: OpPurgeV, Value: body}).ResponseV()
+	if err != nil || resp.Status != StatusOK {
+		t.Fatalf("PurgeV = %+v %v", resp, err)
+	}
+	if ids, err := DecodeBucketList(resp.Value); err != nil || len(ids) != 1 || ids[0] != 1 {
+		t.Fatalf("PurgeV removed %v %v, want only entry 1 (the exact listing)", ids, err)
+	}
+	if _, ok := kv.Engine().Load("dead"); ok {
+		t.Fatal("PurgeV left the listed tombstone")
 	}
 	keys, err := cl.Keys()
 	if err != nil {

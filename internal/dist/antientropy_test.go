@@ -1,11 +1,17 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"pdcedu/internal/csnet"
+	"pdcedu/internal/obs"
 	"pdcedu/internal/store"
 )
 
@@ -99,6 +105,209 @@ func TestAntiEntropySteadyStateFrames(t *testing.T) {
 	}
 }
 
+// TestAntiEntropyStrandedCopy pins the copy an owners-only comparison
+// cannot see: a key whose only copies sit on non-owners, as when every
+// owner was down at write time. One pass must move it onto both owners
+// and purge it from both non-owners; the next pass has nothing to do.
+func TestAntiEntropyStrandedCopy(t *testing.T) {
+	const n, key = 4, "stranded"
+	kvs, c := startKVCluster(t, n, ClusterConfig{Replication: 2}, nil)
+	owners := c.replicaSet(key)
+	only := store.Entry{Value: []byte("only-copy"), Version: kvs[0].Engine().Clock().Next()}
+	var nonOwners []int
+	for b := 0; b < n; b++ {
+		if !slices.Contains(owners, b) {
+			nonOwners = append(nonOwners, b)
+			kvs[b].Engine().Merge(key, only)
+		}
+	}
+
+	copied, err := c.Rebalance()
+	if err != nil {
+		t.Fatalf("rebalance: %v", err)
+	}
+	st := c.AntiEntropyStats()
+	if copied != len(owners) || st.Purged != len(nonOwners) || st.PurgeFrames != len(nonOwners) {
+		t.Fatalf("pass streamed %d, stats %+v; want %d streamed and %d purged in %d frames",
+			copied, st, len(owners), len(nonOwners), len(nonOwners))
+	}
+	for _, o := range owners {
+		if e, ok := kvs[o].Engine().Load(key); !ok || string(e.Value) != "only-copy" || e.Version != only.Version {
+			t.Fatalf("owner %d = %+v %v, want the stranded copy", o, e, ok)
+		}
+	}
+	for _, b := range nonOwners {
+		if e, ok := kvs[b].Engine().Load(key); ok {
+			t.Fatalf("non-owner %d still holds %+v", b, e)
+		}
+	}
+
+	copied, err = c.Rebalance()
+	if st := c.AntiEntropyStats(); err != nil || copied != 0 || st.KeysListed != 0 || st.Purged != 0 {
+		t.Fatalf("next pass = %d %v, stats %+v; want nothing streamed, listed or purged", copied, err, st)
+	}
+}
+
+// refusingEngine acks no writes while refuse is set: its Err reports a
+// poisoned log, so the KV handler answers every write with StatusError.
+type refusingEngine struct {
+	*store.Sharded
+	refuse atomic.Bool
+}
+
+func (e *refusingEngine) Err() error {
+	if e.refuse.Load() {
+		return errors.New("log poisoned")
+	}
+	return nil
+}
+
+// TestAntiEntropyPurgeWaitsForEveryOwner pins the purge's safety rule:
+// a non-owner's copy is purged only once every owner has confirmed
+// coverage. An owner that holds an older copy and fails the merge of
+// the newer one has confirmed nothing, so the newer copy stays on the
+// non-owners until a later pass lands it.
+func TestAntiEntropyPurgeWaitsForEveryOwner(t *testing.T) {
+	const n, key = 4, "stranded"
+	engs := make([]*refusingEngine, n)
+	kvs, c := startKVCluster(t, n, ClusterConfig{Replication: 2}, func(i int) store.Engine {
+		engs[i] = &refusingEngine{Sharded: store.NewSharded(store.Options{})}
+		return engs[i]
+	})
+	owners := c.replicaSet(key)
+	old := store.Entry{Value: []byte("old"), Version: kvs[0].Engine().Clock().Next()}
+	newer := store.Entry{Value: []byte("newer"), Version: old.Version + 1}
+	var nonOwners []int
+	for b := 0; b < n; b++ {
+		if slices.Contains(owners, b) {
+			kvs[b].Engine().Merge(key, old)
+		} else {
+			nonOwners = append(nonOwners, b)
+			kvs[b].Engine().Merge(key, newer)
+		}
+	}
+	engs[owners[1]].refuse.Store(true)
+
+	copied, _ := c.Rebalance()
+	if st := c.AntiEntropyStats(); copied != 1 || st.Purged != 0 || st.PurgeFrames != 0 {
+		t.Fatalf("pass with owner %d refusing = %d streamed, stats %+v; want 1 streamed, nothing purged", owners[1], copied, st)
+	}
+	for _, b := range nonOwners {
+		if e, ok := kvs[b].Engine().Load(key); !ok || e.Version != newer.Version {
+			t.Fatalf("non-owner %d = %+v %v, want its newer copy kept", b, e, ok)
+		}
+	}
+
+	// The refused merge still landed in memory (only its ack failed),
+	// so this pass finds the owner covered by its listing.
+	engs[owners[1]].refuse.Store(false)
+	if _, err := c.Rebalance(); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.AntiEntropyStats(); st.Purged != len(nonOwners) {
+		t.Fatalf("pass after recovery stats %+v, want %d purged", st, len(nonOwners))
+	}
+	for _, o := range owners {
+		if e, ok := kvs[o].Engine().Load(key); !ok || e.Version != newer.Version {
+			t.Fatalf("owner %d = %+v %v, want the newer copy", o, e, ok)
+		}
+	}
+}
+
+// TestAntiEntropyMarkUpPin pins what a flapping backend costs: after
+// MarkDown, 50 writes and MarkUp over 10k keys at rf=2, one pass lists
+// only the buckets whose owners disagree or that hold non-owner copies
+// — never every backend's keyspace — in at most one listing and one
+// purge frame per backend, and the next pass lists and purges nothing.
+func TestAntiEntropyMarkUpPin(t *testing.T) {
+	const n, keys, writes, drained = 4, 10_000, 50, 1
+	kvs, c := startKVCluster(t, n, ClusterConfig{Replication: 2}, nil)
+	// Stop the background rebalancer and run the passes MarkDown and
+	// MarkUp would schedule by hand, so the measured pass is this test's.
+	c.closeOnce.Do(func() { close(c.stop) })
+	<-c.rebalanceDone
+
+	ks := make([]string, keys)
+	vs := make([][]byte, keys)
+	for i := range ks {
+		ks[i] = fmt.Sprintf("flap-%d", i)
+		vs[i] = []byte(fmt.Sprintf("v-%d", i))
+	}
+	if err := c.MSet(ks, vs); err != nil {
+		t.Fatal(err)
+	}
+	c.MarkDown(drained)
+	if _, err := c.Rebalance(); err != nil {
+		t.Fatalf("pass after MarkDown: %v", err)
+	}
+	for i := 0; i < writes; i++ {
+		if err := c.Set(ks[i*(keys/writes)], []byte(fmt.Sprintf("new-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.MarkUp(drained)
+
+	// From the engines: the buckets the pass may list, and how many
+	// entries listing them on their owners and copy-holding non-owners
+	// returns.
+	digests := make([]*store.Digest, n)
+	for b := range digests {
+		digests[b] = kvs[b].Engine().Digest()
+	}
+	needRepair, bound, total := 0, 0, 0
+	for b := range kvs {
+		total += len(kvs[b].Engine().Keys())
+	}
+	for bkt := 0; bkt < c.buckets; bkt++ {
+		owners := c.ownersOf(bkt)
+		var holders []int
+		disagree := false
+		for b := 0; b < n; b++ {
+			leaf := digests[b].Leaf(bkt)
+			switch {
+			case slices.Contains(owners, b):
+				holders = append(holders, b)
+				disagree = disagree || leaf != digests[owners[0]].Leaf(bkt)
+			case leaf != 0:
+				holders = append(holders, b)
+				disagree = true
+			}
+		}
+		if !disagree {
+			continue
+		}
+		needRepair++
+		for _, b := range holders {
+			kvs[b].Engine().RangeBucket(bkt, func(string, store.Entry) bool { bound++; return true })
+		}
+	}
+
+	if _, err := c.Rebalance(); err != nil {
+		t.Fatalf("pass after MarkUp: %v", err)
+	}
+	st := c.AntiEntropyStats()
+	t.Logf("pass after MarkUp: %+v; %d buckets need repair, %d keys listable, %d held", st, needRepair, bound, total)
+	live := c.Live()
+	if st.ListingFrames > live || st.PurgeFrames > live {
+		t.Errorf("listing frames %d, purge frames %d; want each <= %d live backends", st.ListingFrames, st.PurgeFrames, live)
+	}
+	if levels := bits.Len(uint(c.buckets)); st.DigestFrames > live*levels {
+		t.Errorf("digest frames %d, want <= %d (live x (log2 buckets + 1))", st.DigestFrames, live*levels)
+	}
+	if st.BucketsDiffed != needRepair || st.KeysListed > bound || bound >= total {
+		t.Errorf("pass diffed %d buckets and listed %d keys; want %d buckets and <= %d keys, below the %d held in all",
+			st.BucketsDiffed, st.KeysListed, needRepair, bound, total)
+	}
+	if st.Purged == 0 {
+		t.Errorf("pass purged nothing: %+v", st)
+	}
+
+	copied, err := c.Rebalance()
+	if st := c.AntiEntropyStats(); err != nil || copied != 0 || st.KeysListed != 0 || st.Purged != 0 || st.PurgeFrames != 0 {
+		t.Fatalf("next pass = %d %v, stats %+v; want nothing listed or purged", copied, err, st)
+	}
+}
+
 // TestAntiEntropySameVersionSplitConverges pins the divergence class
 // the digests exist for: two replicas holding the same version with
 // different bytes converge to the Entry.Wins (larger) value.
@@ -145,29 +354,70 @@ func TestAntiEntropySameVersionSplitConverges(t *testing.T) {
 	}
 }
 
-// TestRebalanceGeometryFallback pins the mismatch path: backends whose
-// engines were built with a different Merkle bucket count cannot be
-// tree-diffed, so the pass falls back to full listings — slower, still
-// convergent.
-func TestRebalanceGeometryFallback(t *testing.T) {
-	kvs, c := startKVCluster(t, 2, ClusterConfig{Replication: 2, WriteQuorum: 1},
-		func(int) store.Engine { return store.NewSharded(store.Options{Shards: 8, MerkleBuckets: 64}) })
-	if err := c.Set("k", []byte("v")); err != nil {
+// TestRebalanceGeometryMismatch pins the mismatch path: a backend
+// whose engine was built with a different Merkle bucket count cannot
+// be tree-diffed, so the pass drops it with an error naming it, counts
+// it on /metrics, and still converges the other backends. Dropped, it
+// is an unreachable owner: copies stranded in a bucket it owns move to
+// the other owner but stay on the non-owners, which may hold the only
+// copy.
+func TestRebalanceGeometryMismatch(t *testing.T) {
+	const n, odd = 4, 3
+	kvs, c := startKVCluster(t, n, ClusterConfig{Replication: 2, WriteQuorum: 1},
+		func(i int) store.Engine {
+			if i == odd {
+				return store.NewSharded(store.Options{Shards: 8, MerkleBuckets: 64})
+			}
+			return store.NewSharded(store.Options{})
+		})
+	var healthy, shared string
+	for i := 0; healthy == "" || shared == ""; i++ {
+		k := fmt.Sprintf("geo-%d", i)
+		if !slices.Contains(c.replicaSet(k), odd) {
+			healthy = k
+		} else {
+			shared = k
+		}
+	}
+	if err := c.Set(healthy, []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	kvs[1].Engine().Purge("k")
+	hole := c.replicaSet(healthy)[1]
+	kvs[hole].Engine().Purge(healthy)
+	only := store.Entry{Value: []byte("only-copy"), Version: kvs[0].Engine().Clock().Next()}
+	var nonOwners []int
+	for b := 0; b < n; b++ {
+		if !slices.Contains(c.replicaSet(shared), b) {
+			nonOwners = append(nonOwners, b)
+			kvs[b].Engine().Merge(shared, only)
+		}
+	}
+
+	mismatches := obs.Default().Counter("dist.antientropy.geometry_mismatches")
+	before := mismatches.Value()
 	copied, err := c.Rebalance()
 	if err == nil {
 		t.Fatal("geometry mismatch unreported")
 	}
-	if copied != 1 {
-		t.Fatalf("fallback streamed %d, want 1", copied)
+	if want := fmt.Sprintf("backend %d (%s)", odd, c.pools[odd].addr); !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not name %s", err, want)
 	}
-	if st := c.AntiEntropyStats(); !st.FellBack {
-		t.Errorf("stats = %+v, want FellBack", st)
+	if got := mismatches.Value() - before; got != 1 {
+		t.Fatalf("geometry_mismatches grew by %d, want 1", got)
 	}
-	if _, ok := kvs[1].Engine().Get("k"); !ok {
-		t.Fatal("fallback did not repair the hole")
+	if copied != 2 {
+		t.Fatalf("pass streamed %d, want 2 (the hole, and the stranded copy's reachable owner)", copied)
+	}
+	if _, ok := kvs[hole].Engine().Get(healthy); !ok {
+		t.Fatal("the matching backends did not converge")
+	}
+	for _, b := range nonOwners {
+		if _, ok := kvs[b].Engine().Load(shared); !ok {
+			t.Fatalf("non-owner %d purged a copy while owner %d was unreachable", b, odd)
+		}
+	}
+	if st := c.AntiEntropyStats(); st.Purged != 0 || st.PurgeFrames != 0 {
+		t.Fatalf("pass purged with an owner unreachable: %+v", st)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -14,9 +15,12 @@ import (
 // randomized fault injector seeds every divergence class the
 // replication stack knows how to produce — holes, stale versions,
 // same-version value splits, orphan tombstones, expired-immortal
-// copies — directly into the engines of a 5-node cluster, then one
-// anti-entropy pass must converge every owner byte-identically to the
-// Entry.Wins winner computed by a reference model, and the following
+// copies, and copies stranded on non-owners (an only copy, one newer
+// than the owners', an equal leftover, a same-version split) —
+// directly into the engines of
+// a 5-node cluster, then one anti-entropy pass must converge every
+// owner byte-identically to the Entry.Wins winner computed by a
+// reference model and leave every non-owner empty, and the following
 // pass must find a fully converged cluster (digest-only, nothing
 // streamed). The seed is logged so a failure replays; CI runs it twice
 // under the race detector for two fresh seeds.
@@ -48,11 +52,18 @@ func TestAntiEntropyChaos(t *testing.T) {
 	for i, k := range keys {
 		owners := c.replicaSet(k)
 		victim := owners[rng.Intn(len(owners))]
+		var nonOwners []int
+		for b := 0; b < nNodes; b++ {
+			if !slices.Contains(owners, b) {
+				nonOwners = append(nonOwners, b)
+			}
+		}
+		stray := nonOwners[rng.Intn(len(nonOwners))]
 		base, ok := eng(owners[0]).Load(k)
 		if !ok {
 			t.Fatalf("baseline copy of %q missing on owner %d", k, owners[0])
 		}
-		switch rng.Intn(6) {
+		switch rng.Intn(10) {
 		case 0: // hole: one owner lost the key outright
 			eng(victim).Purge(k)
 		case 1: // stale version: one owner stuck on an older write
@@ -74,13 +85,27 @@ func TestAntiEntropyChaos(t *testing.T) {
 			eng(victim).Purge(k)
 			eng(victim).Merge(k, store.Entry{Value: base.Value, Version: ver, ExpireAt: exp})
 			eng(victim).Get(k) // lazy-expire it into a tombstone
+		case 5: // only copy: every owner was down at write time, so the
+			// ring's successors took the write and are non-owners again
+			for _, o := range owners {
+				eng(o).Purge(k)
+			}
+			for _, b := range nonOwners {
+				eng(b).Merge(k, base)
+			}
+		case 6: // a stranded copy newer than the owners'
+			eng(stray).Merge(k, store.Entry{Value: []byte(fmt.Sprintf("stranded-%d", rng.Intn(1_000_000))), Version: base.Version + uint64(1+rng.Intn(500))})
+		case 7: // an equal leftover from before a ring change
+			eng(stray).Merge(k, base)
+		case 8: // a stranded copy at the owners' version with other bytes
+			eng(stray).Merge(k, store.Entry{Value: []byte(fmt.Sprintf("stranded-split-%d", rng.Intn(1_000_000))), Version: base.Version})
 		default: // untouched: converged keys must stay untouched
 			_ = i
 		}
 	}
 
-	// Reference model: per key, the Entry.Wins winner over whatever the
-	// owners hold right now.
+	// Reference model: per key, the Entry.Wins winner over whatever any
+	// backend holds right now.
 	type want struct {
 		e   store.Entry
 		any bool
@@ -88,7 +113,7 @@ func TestAntiEntropyChaos(t *testing.T) {
 	expected := make(map[string]want, nKeys)
 	for _, k := range keys {
 		var w want
-		for _, o := range c.replicaSet(k) {
+		for o := 0; o < nNodes; o++ {
 			e, ok := eng(o).Load(k)
 			if !ok {
 				continue
@@ -118,6 +143,16 @@ func TestAntiEntropyChaos(t *testing.T) {
 			if got.Version != w.e.Version || got.Tombstone != w.e.Tombstone ||
 				!bytes.Equal(got.Value, w.e.Value) || got.ExpireAt != w.e.ExpireAt {
 				t.Fatalf("owner %d of %q = %+v, want %+v", o, k, got, w.e)
+			}
+		}
+	}
+
+	// No non-owner holds anything: every stranded copy was purged.
+	for b := 0; b < nNodes; b++ {
+		d := eng(b).Digest()
+		for bkt := 0; bkt < c.buckets; bkt++ {
+			if d.Leaf(bkt) != 0 && !slices.Contains(c.ownersOf(bkt), b) {
+				t.Fatalf("non-owner %d still holds copies in bucket %d after anti-entropy", b, bkt)
 			}
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pdcedu/internal/csnet"
@@ -37,8 +36,9 @@ type ClusterConfig struct {
 	// Buckets is the Merkle bucket count placement and anti-entropy
 	// agree on (rounded up to a power of two; default
 	// store.DefaultMerkleBuckets). It must match the backends' engine
-	// MerkleBuckets — the digest exchange carries the geometry, and a
-	// mismatch makes Rebalance fall back to full listings.
+	// MerkleBuckets — the digest exchange carries the geometry, and
+	// Rebalance drops a mismatched backend from the pass with an error
+	// that names it.
 	Buckets int
 	// Tracer records the coordinator's spans and originates trace
 	// contexts for cluster operations (nil = trace.Default()). Enable
@@ -86,7 +86,8 @@ type ClusterConfig struct {
 // key, expiry included) and replayed when the replica rejoins; a
 // background Merkle anti-entropy pass compares replica digests and
 // streams exactly the diverged entries — missing, stale, value-split,
-// or tombstoned — to their current owners after every ring change. See
+// or tombstoned — to their current owners after every ring change,
+// then purges copies left on non-owners. See
 // MarkDown, MarkUp, Rebalance, AntiEntropyStats, and
 // PartialWriteError.
 type Cluster struct {
@@ -114,8 +115,7 @@ type Cluster struct {
 	hintDrops uint64
 	lastAE    AntiEntropyStats
 
-	rebalanceMu   sync.Mutex  // serializes Rebalance passes
-	fullPass      atomic.Bool // next scheduled pass must be full listings (set on ring changes)
+	rebalanceMu   sync.Mutex // serializes Rebalance passes
 	rebalance     chan struct{}
 	stop          chan struct{}
 	rebalanceDone chan struct{}

@@ -96,6 +96,14 @@ func (f *Flat) Purge(key string) bool {
 	return ok
 }
 
+// PurgeIf is Sharded.PurgeIf on the single table.
+func (f *Flat) PurgeIf(key string, version, digest uint64, tombstone bool, expireAt int64) bool {
+	f.mu.Lock()
+	ok := f.t.purgeIf(key, version, digest, tombstone, expireAt)
+	f.mu.Unlock()
+	return ok
+}
+
 // Keys implements Engine. Unlike Sharded there is only one lock to
 // hold, so a large listing does stall writers — which is exactly the
 // ceiling the benchmarks measure.

@@ -118,7 +118,7 @@ func TestMerkleDigestTracksWrites(t *testing.T) {
 
 // TestMerkleSameVersionDivergenceVisible is the digest's reason to
 // exist: two copies at the same version with different values — the
-// divergence OpKeysV listings cannot see — hash differently.
+// divergence a version-only listing cannot see — hash differently.
 func TestMerkleSameVersionDivergenceVisible(t *testing.T) {
 	a := NewSharded(Options{MerkleBuckets: 64})
 	b := NewSharded(Options{MerkleBuckets: 64})

@@ -56,6 +56,16 @@ func (m *model) merge(k string, e Entry) bool {
 	return true
 }
 
+func (m *model) purgeIf(k string, listed Entry) bool {
+	cur, ok := m.data[k]
+	if !ok || cur.Version != listed.Version || cur.Tombstone != listed.Tombstone ||
+		cur.ExpireAt != listed.ExpireAt || string(cur.Value) != string(listed.Value) {
+		return false
+	}
+	delete(m.data, k)
+	return true
+}
+
 func (m *model) sweep(gcAge time.Duration) {
 	now := m.now().UnixNano()
 	gcBefore := m.now().Add(-gcAge).UnixMilli()
@@ -77,7 +87,7 @@ func (m *model) sweep(gcAge time.Duration) {
 
 func (m *model) liveKeys() []string {
 	now := m.now().UnixNano()
-	var keys []string
+	keys := []string{} // the engines list no keys as empty, not nil
 	for k, e := range m.data {
 		if e.Live(now) {
 			keys = append(keys, k)
@@ -122,12 +132,27 @@ func TestStoreProperty(t *testing.T) {
 					}
 					ver := eng.Set(k, v, ttl)
 					m.set(k, v, ver, ttl)
-				case p < 55: // Get cross-check
+				case p < 52: // Get cross-check
 					k := key()
 					ge, gok := eng.Get(k)
 					me, mok := m.get(k)
 					if gok != mok || (gok && (string(ge.Value) != string(me.Value) || ge.Version != me.Version)) {
 						t.Fatalf("op %d: Get(%q) engine=%+v,%v model=%+v,%v", i, k, ge, gok, me, mok)
+					}
+				case p < 55: // conditional purge of a listed copy, exact or stale
+					k := key()
+					listed, ok := m.data[k]
+					if !ok {
+						listed = Entry{Value: val(), Version: eng.Clock().Last()}
+					}
+					switch rng.Intn(4) {
+					case 0: // a write landed after the listing
+						listed.Version--
+					case 1: // the listing saw other bytes
+						listed.Value = val()
+					}
+					if got, want := purgeListed(eng, k, listed), m.purgeIf(k, listed); got != want {
+						t.Fatalf("op %d: PurgeIf(%q, %+v) engine=%v model=%v", i, k, listed, got, want)
 					}
 				case p < 65: // Delete
 					k := key()
@@ -202,8 +227,14 @@ func TestStoreProperty(t *testing.T) {
 						m.sweep(gcAge)
 					} else {
 						// A bounded engine sweep removes a subset; resync the
-						// model by re-running full sweeps on both.
+						// model by re-running full sweeps on both. Two each:
+						// a value the bounded pass expired into a tombstone
+						// may already be past the GC horizon, so the engine's
+						// next pass collects it; two passes bring both sides
+						// to the same fixed point (expire, then collect).
 						eng.Sweep(0)
+						eng.Sweep(0)
+						m.sweep(gcAge)
 						m.sweep(gcAge)
 					}
 				}

@@ -215,10 +215,26 @@ func (s *Sharded) Merge(key string, e Entry) (uint64, bool) {
 
 // Purge implements Engine.
 func (s *Sharded) Purge(key string) bool {
+	return s.purge(key, func(t *table) bool { return t.purge(key) })
+}
+
+// PurgeIf removes key's entry only if it is still exactly the listed
+// copy: same version, value digest (ValueDigest), tombstone flag and
+// expiry. The check shares the shard lock with every write, so a write
+// that lands after the listing survives. Anti-entropy uses it to drop
+// a non-owner's copy once the owners hold it; it is deliberately not
+// part of Engine, and the KV handler finds it by type assertion.
+func (s *Sharded) PurgeIf(key string, version, digest uint64, tombstone bool, expireAt int64) bool {
+	return s.purge(key, func(t *table) bool { return t.purgeIf(key, version, digest, tombstone, expireAt) })
+}
+
+// purge runs remove under key's shard lock and logs a removal in the
+// same critical section, so replay order equals removal order.
+func (s *Sharded) purge(key string, remove func(t *table) bool) bool {
 	si := s.shardIdx(key)
 	sh := &s.shards[si]
 	sh.mu.Lock()
-	ok := sh.t.purge(key)
+	ok := remove(&sh.t)
 	var seq uint64
 	if s.wal != nil && ok {
 		seq = s.wal.append(si, key, Entry{}, true)

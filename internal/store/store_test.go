@@ -280,6 +280,61 @@ func TestEngineKeysAndRange(t *testing.T) {
 	}
 }
 
+// purgeListed conditionally purges key as a listing reported entry e,
+// through the PurgeIf both engines offer outside Engine.
+func purgeListed(eng Engine, key string, e Entry) bool {
+	p := eng.(interface {
+		PurgeIf(key string, version, digest uint64, tombstone bool, expireAt int64) bool
+	})
+	return p.PurgeIf(key, e.Version, ValueDigest(e.Value), e.Tombstone, e.ExpireAt)
+}
+
+// TestEnginePurgeIf pins the anti-entropy purge: it removes an entry
+// only while it is still exactly the listed copy, so a write that lands
+// between the listing and the purge survives it.
+func TestEnginePurgeIf(t *testing.T) {
+	for name, eng := range engines(newFakeTime()) {
+		t.Run(name, func(t *testing.T) {
+			eng.Set("k", []byte("old"), time.Hour)
+			listed, _ := eng.Load("k")
+			newer := Entry{Value: []byte("new"), Version: listed.Version + 1}
+			if _, applied := eng.Merge("k", newer); !applied {
+				t.Fatal("newer merge not applied")
+			}
+			if purgeListed(eng, "k", listed) {
+				t.Fatal("purge of a stale listing removed a newer write")
+			}
+			if e, ok := eng.Load("k"); !ok || string(e.Value) != "new" || e.Version != newer.Version {
+				t.Fatalf("after stale purge Load = %+v %v, want the newer write", e, ok)
+			}
+			// Any one field off — digest, tombstone flag, expiry — keeps it.
+			for _, off := range []Entry{
+				{Value: []byte("other"), Version: newer.Version},
+				{Version: newer.Version, Tombstone: true},
+				{Value: newer.Value, Version: newer.Version, ExpireAt: 1},
+			} {
+				if purgeListed(eng, "k", off) {
+					t.Fatalf("purge as %+v removed %+v", off, newer)
+				}
+			}
+			if !purgeListed(eng, "k", newer) || eng.Len() != 0 {
+				t.Fatal("purge of the exact resident copy failed")
+			}
+			if purgeListed(eng, "k", newer) {
+				t.Fatal("purge of an absent key reported a removal")
+			}
+			eng.Delete("t")
+			tomb, _ := eng.Load("t")
+			if !purgeListed(eng, "t", tomb) {
+				t.Fatal("purge of a listed tombstone failed")
+			}
+			if _, ok := eng.Load("t"); ok {
+				t.Fatal("purged tombstone still resident")
+			}
+		})
+	}
+}
+
 func TestShardedConcurrentSnapshotDoesNotBlockWrites(t *testing.T) {
 	eng := NewSharded(Options{Shards: 16})
 	for i := 0; i < 10_000; i++ {

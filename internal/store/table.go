@@ -124,6 +124,19 @@ func (t *table) install(key string, e Entry) {
 	t.touch(key)
 }
 
+// purgeIf removes key's entry only if it is still exactly the copy a
+// listing reported: same version, value digest (ValueDigest),
+// tombstone flag and expiry. It runs under the lock every write takes,
+// so a write that landed after the listing keeps its entry.
+func (t *table) purgeIf(key string, version, digest uint64, tombstone bool, expireAt int64) bool {
+	cur, ok := t.data[key]
+	if !ok || cur.Version != version || cur.Tombstone != tombstone ||
+		cur.ExpireAt != expireAt || ValueDigest(cur.Value) != digest {
+		return false
+	}
+	return t.purge(key)
+}
+
 // purge removes key's entry outright, reporting whether one existed.
 func (t *table) purge(key string) bool {
 	cur, ok := t.data[key]

@@ -139,6 +139,14 @@ func TestWALBasicDurability(t *testing.T) {
 	s.SetIfAbsent("nx-key", []byte("nx"))
 	s.Merge("merged", Entry{Value: []byte("riding-in"), Version: s.Clock().Next()})
 	s.Purge("key-60")
+	// A conditional purge stays purged across the reopen; one whose
+	// listing is stale leaves the entry in place.
+	if listed, _ := s.Load("key-61"); !s.PurgeIf("key-61", listed.Version, ValueDigest(listed.Value), false, 0) {
+		t.Fatal("PurgeIf of the resident copy failed")
+	}
+	if stale, _ := s.Load("key-62"); s.PurgeIf("key-62", stale.Version-1, ValueDigest(stale.Value), false, 0) {
+		t.Fatal("PurgeIf of a stale listing removed the entry")
+	}
 	var maxVer uint64
 	want := rawState(s)
 	for _, e := range want {
@@ -156,6 +164,9 @@ func TestWALBasicDurability(t *testing.T) {
 	}
 	defer r.Close()
 	diffStates(t, "reopen", rawState(r), want)
+	if _, ok := r.Load("key-61"); ok {
+		t.Fatal("conditionally purged key-61 came back on reopen")
+	}
 	if got, wantLen := r.Len(), s.Len(); got != wantLen {
 		t.Fatalf("reopened Len = %d, want %d", got, wantLen)
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync/atomic"
+	"time"
 
 	"pdcedu/internal/store"
 )
@@ -60,8 +61,8 @@ func decInt(b []byte, ok bool) int64 {
 // Set initializes a key outside any transaction — seeding for tests,
 // benchmarks, and demos. It bypasses the lock manager, so it must not
 // run concurrently with active transactions: a Set racing a
-// transaction's Put on the same key can be overwritten (and undone by
-// a later rollback) because nothing orders the two. The old DB-wide
+// transaction's Put on the same key can be overwritten when the
+// transaction commits, because nothing orders the two. The old DB-wide
 // mutex hid that race by accident; the contract is now explicit.
 func (db *DB) Set(key string, v int64) {
 	db.eng.Set(key, encInt(v), 0)
@@ -76,25 +77,30 @@ func (db *DB) ReadCommitted(key string) int64 {
 // History returns the recorded operation history.
 func (db *DB) History() *History { return db.history }
 
-// Txn is an active transaction.
+// Txn is an active transaction. Its writes are deferred: they are
+// buffered in Put order and applied to the engine only once the
+// transaction is past its commit point, so an aborted transaction has
+// nothing to undo.
 type Txn struct {
-	db   *DB
-	id   int
-	undo []undoRec
-	done bool
+	db     *DB
+	id     int
+	ts     uint64 // begin timestamp, kept across Transfer's restarts
+	writes []write
+	done   bool
 }
 
-type undoRec struct {
-	key  string
-	prev int64
-	had  bool
+type write struct {
+	key string
+	v   int64
 }
 
 // Begin starts a transaction.
-func (db *DB) Begin() *Txn {
+func (db *DB) Begin() *Txn { return db.begin(0) }
+
+// begin starts a transaction with begin timestamp ts (0 = fresh).
+func (db *DB) begin(ts uint64) *Txn {
 	id := int(db.nextTxn.Add(1))
-	db.lm.Register(id)
-	return &Txn{db: db, id: id}
+	return &Txn{db: db, id: id, ts: db.lm.register(id, ts)}
 }
 
 // ID returns the transaction identifier.
@@ -109,14 +115,19 @@ func (t *Txn) Get(key string) (int64, error) {
 		t.rollback()
 		return 0, err
 	}
-	e, ok := t.db.eng.Get(key)
 	t.db.history.Record(t.id, OpRead, key)
+	for i := len(t.writes) - 1; i >= 0; i-- {
+		if t.writes[i].key == key {
+			return t.writes[i].v, nil // read your own write
+		}
+	}
+	e, ok := t.db.eng.Get(key)
 	return decInt(e.Value, ok), nil
 }
 
-// Put writes key under an exclusive lock, logging the before-image for
-// rollback. The 2PL X lock serializes transactional access to the key,
-// so the read-for-undo and the write need no extra latch.
+// Put writes key under an exclusive lock. The write is buffered until
+// Commit; the X lock, held to the end of the transaction, keeps every
+// other transaction off the key in the meantime.
 func (t *Txn) Put(key string, v int64) error {
 	if t.done {
 		return fmt.Errorf("txn: transaction %d already finished", t.id)
@@ -125,23 +136,26 @@ func (t *Txn) Put(key string, v int64) error {
 		t.rollback()
 		return err
 	}
-	e, had := t.db.eng.Get(key)
-	t.undo = append(t.undo, undoRec{key: key, prev: decInt(e.Value, had), had: had})
-	t.db.eng.Set(key, encInt(v), 0)
+	t.writes = append(t.writes, write{key: key, v: v})
 	t.db.history.Record(t.id, OpWrite, key)
 	return nil
 }
 
 // Commit finishes the transaction; if it was chosen as a deadlock victim
-// since its last operation, the writes are rolled back and ErrAborted
-// returned.
+// since its last operation, its writes are discarded and ErrAborted
+// returned. Otherwise it passes the commit point, after which it can no
+// longer be aborted, and applies its writes while still holding every
+// lock.
 func (t *Txn) Commit() error {
 	if t.done {
 		return fmt.Errorf("txn: transaction %d already finished", t.id)
 	}
-	if t.db.lm.Aborted(t.id) {
+	if !t.db.lm.commitPoint(t.id) {
 		t.rollback()
 		return ErrAborted
+	}
+	for _, w := range t.writes {
+		t.db.eng.Set(w.key, encInt(w.v), 0)
 	}
 	t.done = true
 	t.db.history.Record(t.id, OpCommit, "")
@@ -157,22 +171,15 @@ func (t *Txn) Abort() {
 	}
 }
 
-// rollback undoes writes in reverse order and releases locks. Each
-// restore is a fresh versioned write (or tombstone): the engine's
-// history moves forward even as the logical value moves back.
+// rollback discards the buffered writes and releases locks. Nothing
+// reached the engine, so a victim whose locks were already stripped
+// cannot overwrite the writes of the transaction that took them.
 func (t *Txn) rollback() {
 	if t.done {
 		return
 	}
 	t.done = true
-	for i := len(t.undo) - 1; i >= 0; i-- {
-		u := t.undo[i]
-		if u.had {
-			t.db.eng.Set(u.key, encInt(u.prev), 0)
-		} else {
-			t.db.eng.Delete(u.key)
-		}
-	}
+	t.writes = nil
 	t.db.history.Record(t.id, OpAbort, "")
 	t.db.lm.ReleaseAll(t.id)
 	t.db.Aborts.Add(1)
@@ -180,10 +187,15 @@ func (t *Txn) rollback() {
 
 // Transfer is the canonical bank workload: move amount from one account
 // to another inside a transaction, retrying on deadlock aborts up to
-// maxRetries times.
+// maxRetries times. Each retry keeps the first attempt's timestamp and
+// starts after an exponential backoff (1µs doubling to 1ms), so a
+// victim does not burn its retries against a winner that still holds
+// the locks it lost.
 func Transfer(db *DB, from, to string, amount int64, maxRetries int) error {
+	var ts uint64
 	for attempt := 0; ; attempt++ {
-		t := db.Begin()
+		t := db.begin(ts)
+		ts = t.ts
 		err := func() error {
 			a, err := t.Get(from)
 			if err != nil {
@@ -205,6 +217,7 @@ func Transfer(db *DB, from, to string, amount int64, maxRetries int) error {
 			return nil
 		}
 		if err == ErrAborted && attempt < maxRetries {
+			time.Sleep(time.Microsecond << min(attempt, 10))
 			continue
 		}
 		t.Abort()

@@ -3,7 +3,7 @@
 // concurrent transactions, transaction locks, and deadlocks"): a strict
 // two-phase-locking lock manager with three deadlock policies (waits-for
 // cycle detection with youngest-victim abort, wound-wait, wait-die),
-// a transactional key-value store with undo logging, basic timestamp-
+// a transactional key-value store with deferred writes, basic timestamp-
 // ordering concurrency control, and a conflict-serializability checker
 // over recorded histories.
 package txn
@@ -80,6 +80,9 @@ type LockManager struct {
 	ts      map[int]uint64
 	nextTS  uint64
 	aborted map[int]bool
+	// committing marks transactions past their commit point: they can
+	// no longer be chosen as victims.
+	committing map[int]bool
 	// waitsFor[t] = set of transactions t waits on (Detect only).
 	waitsFor map[int]map[int]bool
 	// stats
@@ -91,11 +94,12 @@ type LockManager struct {
 // NewLockManager creates a lock manager with the given deadlock policy.
 func NewLockManager(s Strategy) *LockManager {
 	lm := &LockManager{
-		strategy: s,
-		locks:    map[string]*lockState{},
-		ts:       map[int]uint64{},
-		aborted:  map[int]bool{},
-		waitsFor: map[int]map[int]bool{},
+		strategy:   s,
+		locks:      map[string]*lockState{},
+		ts:         map[int]uint64{},
+		aborted:    map[int]bool{},
+		committing: map[int]bool{},
+		waitsFor:   map[int]map[int]bool{},
 	}
 	lm.cond = sync.NewCond(&lm.mu)
 	return lm
@@ -103,13 +107,24 @@ func NewLockManager(s Strategy) *LockManager {
 
 // Register assigns a begin timestamp to a transaction; must be called
 // once before its first Acquire.
-func (lm *LockManager) Register(txn int) {
+func (lm *LockManager) Register(txn int) { lm.register(txn, 0) }
+
+// register gives txn the begin timestamp ts, or a fresh one when ts is
+// 0, and returns it. A restarted transaction passes its first
+// attempt's timestamp: it keeps its age, so it eventually becomes the
+// oldest and the deadlock policies stop choosing it as the victim.
+func (lm *LockManager) register(txn int, ts uint64) uint64 {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
-	if _, ok := lm.ts[txn]; !ok {
-		lm.nextTS++
-		lm.ts[txn] = lm.nextTS
+	if old, ok := lm.ts[txn]; ok {
+		return old
 	}
+	if ts == 0 {
+		lm.nextTS++
+		ts = lm.nextTS
+	}
+	lm.ts[txn] = ts
+	return ts
 }
 
 // Aborted reports whether the transaction has been marked as a victim.
@@ -172,10 +187,11 @@ func (lm *LockManager) Acquire(txn int, key string, mode Mode) error {
 		conf := st.conflicting(txn, mode)
 		switch lm.strategy {
 		case WoundWait:
-			// Older requester wounds younger holders.
+			// Older requester wounds younger holders; a holder past
+			// its commit point is about to release, so it is waited on.
 			wounded := false
 			for _, h := range conf {
-				if lm.ts[txn] < lm.ts[h] {
+				if lm.ts[txn] < lm.ts[h] && !lm.committing[h] {
 					lm.abortLocked(h)
 					lm.Wounds++
 					wounded = true
@@ -231,6 +247,9 @@ func (lm *LockManager) Acquire(txn int, key string, mode Mode) error {
 
 // abortLocked marks a victim and strips its locks (the victim's own
 // goroutine observes ErrAborted at its next lock-manager interaction).
+// Stripping is safe because a transaction's writes reach the store
+// only after commitPoint, which a marked victim can no longer pass:
+// whatever it does after losing its locks is discarded.
 func (lm *LockManager) abortLocked(victim int) {
 	lm.aborted[victim] = true
 	for _, st := range lm.locks {
@@ -281,6 +300,19 @@ func (lm *LockManager) findCycleLocked() []int {
 	return nil
 }
 
+// commitPoint atomically checks that txn has not been chosen as a
+// victim and makes it immune to later aborts, so it keeps every lock
+// until ReleaseAll. It reports false when txn must roll back instead.
+func (lm *LockManager) commitPoint(txn int) bool {
+	lm.mu.Lock()
+	defer lm.mu.Unlock()
+	if lm.aborted[txn] {
+		return false
+	}
+	lm.committing[txn] = true
+	return true
+}
+
 // ReleaseAll releases every lock held by txn (commit or rollback point
 // of strict 2PL) and clears its abort mark and timestamp.
 func (lm *LockManager) ReleaseAll(txn int) {
@@ -291,6 +323,7 @@ func (lm *LockManager) ReleaseAll(txn int) {
 	}
 	delete(lm.waitsFor, txn)
 	delete(lm.aborted, txn)
+	delete(lm.committing, txn)
 	delete(lm.ts, txn)
 	lm.cond.Broadcast()
 }

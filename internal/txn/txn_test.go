@@ -216,6 +216,27 @@ func TestRollbackRestoresValues(t *testing.T) {
 	}
 }
 
+func TestWritesDeferredToCommit(t *testing.T) {
+	db := NewDB(Detect)
+	db.Set("k", 5)
+	tx := db.Begin()
+	if err := tx.Put("k", 7); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := tx.Get("k"); err != nil || got != 7 {
+		t.Errorf("Get after own Put = %d, %v; want 7", got, err)
+	}
+	if got := db.ReadCommitted("k"); got != 5 {
+		t.Errorf("uncommitted write visible: k = %d, want 5", got)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.ReadCommitted("k"); got != 7 {
+		t.Errorf("k = %d after commit, want 7", got)
+	}
+}
+
 func TestSerializabilityChecker(t *testing.T) {
 	// Classic non-serializable schedule: r1[x] w2[x] w1[x] (both commit).
 	bad := []HistOp{
